@@ -250,8 +250,8 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 			lr.LayerName, lr.FeatureDim, lr.Train.F1*100, lr.Test.F1*100)
 	}
 	fmt.Fprintf(stdout, "\nStage breakdown:\n")
-	for _, tm := range res.Timings {
-		fmt.Fprintf(stdout, "  %-16s %v\n", tm.Label, tm.Elapsed.Round(1e6))
+	for _, sp := range res.Trace.Children() {
+		fmt.Fprintf(stdout, "  %-16s %v\n", sp.Name(), sp.Duration().Round(1e6))
 	}
 	c := res.Counters
 	fmt.Fprintf(stdout, "\nElapsed %v | tasks %d | rows %d | FLOPs %.2fG | shuffled %s | spilled %s | peak storage %s\n",

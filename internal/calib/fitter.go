@@ -47,7 +47,7 @@ type Fitter struct {
 
 	active atomic.Pointer[Profile]
 
-	mu       sync.Mutex // serializes RefitNow (swap + persist)
+	mu       sync.Mutex // serializes RefitNow (persist + swap)
 	baseline map[Kind]lsState
 	stop     chan struct{}
 	done     chan struct{}
@@ -91,10 +91,11 @@ func (f *Fitter) Active() *Profile {
 func (f *Fitter) Refits() int64 { return f.Active().refits() }
 
 // RefitNow fits a new profile from the evidence recorded since each kind's
-// last factor change and, when any factor moved, swaps it in and persists it.
-// It returns whether the profile changed and any persistence error (the swap
-// sticks even when the disk write fails — pricing should not keep stale
-// factors just because a write was lost).
+// last factor change and, when any factor moved, persists it and then swaps
+// it in. It returns whether the profile changed and any persistence error.
+// Persisting first means an observer that sees a refit (Refits, the
+// vista_calib_profile_refits_total counter) always finds it on disk; a failed
+// write publishes nothing and consumes no evidence, so the next tick retries.
 //
 // The windowing is what makes the loop converge instead of compound: samples
 // recorded before a refit carry estimates in the *old* correction basis, and
@@ -123,16 +124,18 @@ func (f *Fitter) RefitNow() (changed bool, err error) {
 	if !changed {
 		return false, nil
 	}
+	if f.path != "" {
+		if err := SaveProfile(f.path, next); err != nil {
+			return false, err
+		}
+	}
 	for _, k := range Kinds {
 		if next.ScaleFor(k) != prev.ScaleFor(k) {
 			f.baseline[k] = snap[k]
 		}
 	}
 	f.active.Store(next)
-	if f.path != "" {
-		err = SaveProfile(f.path, next)
-	}
-	return true, err
+	return true, nil
 }
 
 // Start launches the periodic refit loop. Stop must be called to release it;
@@ -153,7 +156,7 @@ func (f *Fitter) loop() {
 	for {
 		select {
 		case <-t.C():
-			f.RefitNow() // persistence errors surface via the next scrape's stale file, not here
+			f.RefitNow() // a failed persist publishes nothing; the next tick retries it
 		case <-f.stop:
 			return
 		}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -181,26 +180,48 @@ func TestFitterBootSnapshotIgnoresReplayedLog(t *testing.T) {
 	}
 }
 
-func TestFitterSwapSticksWhenPersistFails(t *testing.T) {
-	defer faultinject.DisarmAll()
+// TestFitterPersistFailurePublishesNothing: a refit whose profile cannot be
+// written must not publish it. Refits() stays 0, the old profile stays
+// active, and the evidence is not consumed, so once the path is writable
+// the next refit persists and publishes the same fit.
+func TestFitterPersistFailurePublishesNothing(t *testing.T) {
 	fc := clock.NewFake()
-	path := filepath.Join(t.TempDir(), "profile.json")
+	dir := filepath.Join(t.TempDir(), "profiles")
+	// A regular file where the profile's directory should be makes the path
+	// unwritable regardless of the user's permissions.
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "profile.json")
 	f, rec := newTestFitter(t, fc, path)
 	for i := 0; i < 3; i++ {
 		recordInfer(t, rec, 25, 1)
 	}
-	faultinject.Arm(FaultProfileSave+".write", faultinject.FailAlways())
 	changed, err := f.RefitNow()
-	if !changed {
-		t.Fatal("refit did not fire")
-	}
 	if err == nil {
-		t.Fatal("injected persist failure not surfaced")
+		t.Fatal("persist failure not surfaced")
 	}
-	// Pricing still sees the new factors: a lost disk write must not pin the
-	// process to stale constants.
-	if got := f.Active().ScaleFor(KindInfer); got != 0.04 {
-		t.Errorf("active factor after failed persist = %v, want 0.04", got)
+	if changed {
+		t.Error("refit reported a change it did not publish")
+	}
+	if f.Refits() != 0 || f.Active() != nil {
+		t.Fatalf("after failed persist: refits = %d, active = %+v, want 0 and the old (nil) profile", f.Refits(), f.Active())
+	}
+
+	if err := os.Remove(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if changed, err := f.RefitNow(); !changed || err != nil {
+		t.Fatalf("retry: changed=%v err=%v", changed, err)
+	}
+	if got := f.Active().ScaleFor(KindInfer); got != 0.04 || f.Refits() != 1 {
+		t.Errorf("after retry: infer factor = %v, refits = %d, want 0.04 and 1", got, f.Refits())
+	}
+	if onDisk, err := LoadProfile(path); err != nil || onDisk.ScaleFor(KindInfer) != 0.04 {
+		t.Errorf("persisted profile = %+v (err %v)", onDisk, err)
 	}
 }
 

@@ -193,21 +193,9 @@ func RunContext(ctx context.Context, spec Spec) (*Result, error) {
 		Counters: engine.Counters().Snapshot(),
 		Elapsed:  time.Since(start),
 		Trace:    ex.trace,
-		Timings:  timingsFromTrace(ex.trace),
 		Series:   recording,
 		Cache:    report,
 	}, nil
-}
-
-// timingsFromTrace flattens the root span's children into the legacy
-// per-stage breakdown.
-func timingsFromTrace(root *obs.Span) []StageTiming {
-	children := root.Children()
-	out := make([]StageTiming, len(children))
-	for i, sp := range children {
-		out[i] = StageTiming{Label: sp.Name(), Elapsed: sp.Duration()}
-	}
-	return out
 }
 
 // decide runs the optimizer unless the spec pins a decision. cachedLayers is

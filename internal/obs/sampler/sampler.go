@@ -195,8 +195,12 @@ func (s *Sampler) loop() {
 	defer tick.Stop()
 	for {
 		select {
-		case t := <-tick.C():
-			s.sample(t)
+		case <-tick.C():
+			// Stamp with Now, not the tick's value: the runtime derives a
+			// tick's time from a clock reading it may have taken before a
+			// preemption, so under load one tick can carry a later time than
+			// the next and the frames would not be in time order.
+			s.sample(s.clk.Now())
 		case <-s.stop:
 			return
 		}

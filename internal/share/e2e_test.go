@@ -41,6 +41,11 @@ func tinySpec(t *testing.T, rows, layers int, seed int64) core.Spec {
 	}
 }
 
+// e2eConfig groups exactly the two members each test starts. MaxGroup seals
+// the group on the second arrival, so forming it does not depend on both
+// goroutines generating their data inside a short window on a loaded host.
+var e2eConfig = share.Config{Window: time.Minute, MaxGroup: 2}
+
 // memberResult is one group member's outcome in a shared execution.
 type memberResult struct {
 	role     share.Role // role at Start time (after any promotion)
@@ -90,7 +95,7 @@ func runShared(t *testing.T, c *share.Coordinator, spec core.Spec) memberResult 
 }
 
 func TestSharedRunEndToEnd(t *testing.T) {
-	c, err := share.New(share.Config{Window: 100 * time.Millisecond})
+	c, err := share.New(e2eConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +141,11 @@ func TestSharedRunEndToEnd(t *testing.T) {
 		t.Errorf("follower cache report = %+v, want 1 shared / 0 executed", follower.res.Cache)
 	}
 	var sawShared bool
-	for _, tm := range follower.res.Timings {
-		if strings.HasPrefix(tm.Label, "infer:") {
-			t.Errorf("follower ran a live inference stage %q", tm.Label)
+	for _, sp := range follower.res.Trace.Children() {
+		if strings.HasPrefix(sp.Name(), "infer:") {
+			t.Errorf("follower ran a live inference stage %q", sp.Name())
 		}
-		if strings.HasPrefix(tm.Label, "shared:") {
+		if strings.HasPrefix(sp.Name(), "shared:") {
 			sawShared = true
 		}
 	}
@@ -183,7 +188,7 @@ func TestSharedRunLeaderFaultPromotesFollower(t *testing.T) {
 	defer faultinject.DisarmAll()
 	faultinject.Arm(core.FaultStage+":infer", faultinject.FailNth(2))
 
-	c, err := share.New(share.Config{Window: 100 * time.Millisecond})
+	c, err := share.New(e2eConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

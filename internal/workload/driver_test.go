@@ -371,6 +371,27 @@ func TestVerifyReconciliation(t *testing.T) {
 	}
 }
 
+// TestVerifyRetryAfterHints: a 429 without Retry-After is a violation of
+// its own, and it does not count as a distinct hint, so one hint-less 429
+// next to a constant hint still trips the herd gate.
+func TestVerifyRetryAfterHints(t *testing.T) {
+	res := &Result{Offered: 5, RetryAfter: map[string]int{"": 1, "4": 4}}
+	res.Counts[ClassThrottled] = 5
+	errs := res.Verify(Checks{MinDistinctRetryAfter: 2})
+	if len(errs) != 2 {
+		t.Fatalf("Verify = %v, want the missing-header and the herd violations", errs)
+	}
+	if !strings.Contains(errs[0].Error(), "1 429s carried no Retry-After header") {
+		t.Errorf("first violation = %q, want the missing header", errs[0])
+	}
+	if !strings.Contains(errs[1].Error(), "only 1 distinct Retry-After value") {
+		t.Errorf("second violation = %q, want the herd gate", errs[1])
+	}
+	if !strings.Contains(res.Summary(), "distinct-retry-after=1") {
+		t.Errorf("summary = %q, want distinct-retry-after=1", res.Summary())
+	}
+}
+
 func TestTimelineOutputs(t *testing.T) {
 	res := &Result{
 		Profile: "const(5)", Duration: time.Second, TimeScale: 1, Tick: 500 * time.Millisecond,

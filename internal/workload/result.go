@@ -51,8 +51,9 @@ type Result struct {
 	// Counts — every offered request lands in exactly one class.
 	Offered int
 	Counts  [numClasses]int
-	// RetryAfter counts 429 responses by their Retry-After header value.
-	// One distinct key across an overload episode is the retry-herd bug.
+	// RetryAfter counts 429 responses by their Retry-After header value
+	// ("" for a 429 without the header). One distinct hint across an
+	// overload episode is the retry-herd bug.
 	RetryAfter map[string]int
 }
 
@@ -163,13 +164,28 @@ func (r *Result) Verify(c Checks) []error {
 			}
 		}
 	}
+	if n := r.RetryAfter[""]; n > 0 {
+		errs = append(errs, fmt.Errorf("workload: %d 429s carried no Retry-After header", n))
+	}
 	if c.MinDistinctRetryAfter > 0 && r.Counts[ClassThrottled] >= c.MinDistinctRetryAfter {
-		if got := len(r.RetryAfter); got < c.MinDistinctRetryAfter {
+		if got := r.distinctRetryAfter(); got < c.MinDistinctRetryAfter {
 			errs = append(errs, fmt.Errorf("workload: %d 429s carried only %d distinct Retry-After value(s) (want >= %d) — a constant hint re-synchronizes the retry herd",
 				r.Counts[ClassThrottled], got, c.MinDistinctRetryAfter))
 		}
 	}
 	return errs
+}
+
+// distinctRetryAfter counts the distinct Retry-After hints the run's 429s
+// carried. A missing header ("") is not a hint: it is a contract violation of
+// its own, and counting it would let one hint-less 429 plus a constant hint
+// pass the herd gate.
+func (r *Result) distinctRetryAfter() int {
+	n := len(r.RetryAfter)
+	if _, ok := r.RetryAfter[""]; ok {
+		n--
+	}
+	return n
 }
 
 // Summary renders the run totals as one human line.
@@ -178,7 +194,7 @@ func (r *Result) Summary() string {
 		r.Profile, r.Mode, r.TimeScale, r.WallElapsed.Round(time.Millisecond),
 		r.Offered, r.Counts[ClassOK], r.Counts[ClassThrottled], r.Counts[ClassOverload],
 		r.Counts[ClassOther], r.Counts[ClassTimeout], r.Counts[ClassTransport], r.Counts[ClassShed],
-		len(r.RetryAfter))
+		r.distinctRetryAfter())
 }
 
 // WriteCSV emits the timeline, one row per bucket, with a header row. The
