@@ -113,14 +113,7 @@ func buildWorkload(model, dataset string, layers, nodes, cores int, memGB, gpuGB
 		return sim.Workload{}, fmt.Errorf("unknown dataset %q", dataset)
 	}
 	if layers <= 0 {
-		switch model {
-		case "alexnet":
-			layers = 4
-		case "vgg16":
-			layers = 3
-		default:
-			layers = 5
-		}
+		layers = cnn.DefaultLayers(model)
 	}
 	return sim.NewWorkload(sim.WorkloadSpec{
 		ModelName: model, NumLayers: layers, Dataset: ds,

@@ -54,14 +54,7 @@ type workloadRequest struct {
 
 func (r *workloadRequest) defaults(forRun bool) {
 	if r.Layers <= 0 {
-		switch r.Model {
-		case "alexnet", "tiny-alexnet":
-			r.Layers = 4
-		case "vgg16", "tiny-vgg16":
-			r.Layers = 3
-		default:
-			r.Layers = 3
-		}
+		r.Layers = cnn.DefaultLayers(r.Model)
 	}
 	if r.Nodes <= 0 {
 		if forRun {
@@ -590,8 +583,10 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 	// halves of this run: plan choice + admission pricing here, and the
 	// estimate side of its calibration record below (recordCalibration reads
 	// the active profile again at record time).
-	if p := a.fitter.Active(); p != nil {
-		spec.CostScales = p.CostScales()
+	if prof := a.fitter.Active(); prof != nil {
+		p := optimizer.DefaultParams()
+		p.Scales = prof.CostScales()
+		spec.Params = &p
 	}
 
 	// Sharing: announce the run to the coalescer and wait out the batching

@@ -74,6 +74,20 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainDefaultLayers checks that an omitted |L| takes the paper's
+// default for the model: top 5 layers for ResNet50 (Section 5).
+func TestExplainDefaultLayers(t *testing.T) {
+	h := newHandler(nil)
+	code, body := doJSON(t, h, "POST", "/explain", `{"model":"resnet50","dataset":"foods"}`)
+	if code != http.StatusOK {
+		t.Fatalf("explain = %d %v", code, body)
+	}
+	sizes, ok := body["table_size_bytes"].([]any)
+	if !ok || len(sizes) != 5 {
+		t.Errorf("table_size_bytes = %v, want 5 entries (resnet50's default |L|)", body["table_size_bytes"])
+	}
+}
+
 func TestExplainValidationEndpoint(t *testing.T) {
 	h := newHandler(nil)
 	if code, _ := doJSON(t, h, "POST", "/explain", `{`); code != http.StatusBadRequest {

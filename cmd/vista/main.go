@@ -36,6 +36,7 @@ import (
 	"repro/internal/ml"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
+	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/sim"
 )
@@ -187,7 +188,11 @@ func run(ctx context.Context, o runOptions, stdout, stderr io.Writer) error {
 		StructRows:   structRows,
 		ImageRows:    imageRows,
 		Seed:         o.seed,
-		CostScales:   o.profile.CostScales(),
+	}
+	if o.profile != nil {
+		p := optimizer.DefaultParams()
+		p.Scales = o.profile.CostScales()
+		runSpec.Params = &p
 	}
 	if o.cacheDir != "" {
 		store, err := featurestore.Open(o.cacheDir, o.cacheMB<<20)

@@ -67,8 +67,8 @@ func (p *Profile) ScaleFor(k Kind) float64 {
 }
 
 // CostScales renders the profile as the optimizer's per-kind corrections,
-// ready to assign to optimizer.Params.Scales (or core.Spec.CostScales). A
-// nil profile yields the identity.
+// ready to assign to optimizer.Params.Scales. A nil profile yields the
+// identity.
 func (p *Profile) CostScales() optimizer.CostScales {
 	return optimizer.CostScales{
 		Ingest:  p.ScaleFor(KindIngest),

@@ -60,6 +60,10 @@ func heInit(dst []float32, fanIn int, rng *rand.Rand) {
 	}
 }
 
+// conv2D is the convolution kernel every conv layer calls. Tests swap in
+// tensor.Conv2DDirect to check model inference against the reference kernel.
+var conv2D = tensor.Conv2D
+
 // Conv is a convolutional layer with optional fused ReLU.
 type Conv struct {
 	LayerName string
@@ -90,7 +94,7 @@ func (c *Conv) Params(tensor.Shape) int64 {
 
 // Apply implements Layer.
 func (c *Conv) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, error) {
-	out, err := tensor.Conv2D(in, c.Spec, w.W, w.B)
+	out, err := conv2D(in, c.Spec, w.W, w.B)
 	if err != nil {
 		return nil, fmt.Errorf("cnn: layer %s: %w", c.LayerName, err)
 	}
@@ -277,7 +281,7 @@ func (c *BNConv) Params(tensor.Shape) int64 {
 
 // Apply implements Layer.
 func (c *BNConv) Apply(in *tensor.Tensor, w *LayerWeights) (*tensor.Tensor, error) {
-	out, err := tensor.Conv2D(in, c.Spec, w.W, w.B)
+	out, err := conv2D(in, c.Spec, w.W, w.B)
 	if err != nil {
 		return nil, fmt.Errorf("cnn: layer %s: %w", c.LayerName, err)
 	}

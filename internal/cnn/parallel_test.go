@@ -81,10 +81,9 @@ func TestParallelInferSharedModel(t *testing.T) {
 
 // TestInferMatchesDirectKernel pins end-to-end model inference between the
 // GEMM and direct convolution kernels: same weights, same image, outputs
-// within parity tolerance. This is the model-level arm of the escape-hatch
-// contract.
+// within parity tolerance. This is the model-level arm of the parity suite.
 func TestInferMatchesDirectKernel(t *testing.T) {
-	defer tensor.SetUseDirect(false)
+	defer func() { conv2D = tensor.Conv2D }()
 	for _, name := range []string{"tiny-alexnet", "tiny-vgg16", "tiny-resnet50", "tiny-densenet"} {
 		m, err := ByName(name)
 		if err != nil {
@@ -95,12 +94,12 @@ func TestInferMatchesDirectKernel(t *testing.T) {
 			t.Fatal(err)
 		}
 		img := randImage(m, 9)
-		tensor.SetUseDirect(true)
+		conv2D = tensor.Conv2DDirect
 		direct, err := m.Infer(w, img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tensor.SetUseDirect(false)
+		conv2D = tensor.Conv2D
 		gemm, err := m.Infer(w, img)
 		if err != nil {
 			t.Fatal(err)

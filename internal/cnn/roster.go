@@ -249,6 +249,22 @@ func ByName(name string) (*Model, error) {
 	return nil, fmt.Errorf("cnn: unknown roster model %q", name)
 }
 
+// DefaultLayers returns the default |L| (number of top feature layers to
+// transfer) for a roster model: the paper's conv5–fc8 for AlexNet, fc6–fc8
+// for VGG16 and top 5 for ResNet50 (Section 5). The tiny AlexNet and VGG16
+// stand-ins share their full-scale defaults; every other name gets 3.
+func DefaultLayers(name string) int {
+	switch name {
+	case "alexnet", "tiny-alexnet":
+		return 4
+	case "vgg16", "tiny-vgg16":
+		return 3
+	case "resnet50":
+		return 5
+	}
+	return 3
+}
+
 // RosterNames lists all models in the roster, full-scale first.
 func RosterNames() []string {
 	return []string{"alexnet", "vgg16", "resnet50",

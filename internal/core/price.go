@@ -64,3 +64,39 @@ func price(spec Spec) (optimizer.Decision, int64, error) {
 	}
 	return d, cost, nil
 }
+
+// optimizerInputs assembles the Algorithm 1 inputs for a spec (shared by Run
+// and price).
+func optimizerInputs(spec Spec, stats *cnn.Stats) (optimizer.Inputs, error) {
+	layers, err := stats.TopLayerStats(spec.NumLayers)
+	if err != nil {
+		return optimizer.Inputs{}, err
+	}
+	structDim := len(spec.StructRows[0].Structured)
+	maxDim := structDim
+	for _, l := range layers {
+		if l.FeatureDim+structDim > maxDim {
+			maxDim = l.FeatureDim + structDim
+		}
+	}
+	in := optimizer.Inputs{
+		ModelStats:    stats,
+		NumLayers:     spec.NumLayers,
+		NumRows:       len(spec.StructRows),
+		StructDim:     structDim,
+		ImageRowBytes: avgImageBytes(spec.ImageRows),
+		NNodes:        spec.Nodes,
+		MemSys:        spec.MemPerNode,
+		MemGPU:        spec.GPUMemPerNode,
+		CPUSys:        spec.CoresPerNode,
+	}
+	switch spec.Downstream.Kind {
+	case MLP:
+		in.Placement = optimizer.MInDLMemory
+		in.DownstreamMemBytes = optimizer.MLPMemBytes(maxDim, spec.Downstream.MLP.Hidden)
+	default:
+		in.Placement = optimizer.MInPDUserMemory
+		in.DownstreamMemBytes = optimizer.LogRegMemBytes(maxDim)
+	}
+	return in, nil
+}

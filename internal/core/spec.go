@@ -151,14 +151,10 @@ type Spec struct {
 	// Decision, when non-nil, bypasses the optimizer (baseline configs).
 	Decision *optimizer.Decision
 	// Params, when non-nil, overrides the Table 1(C) fixed-but-adjustable
-	// system parameters (OS reservation, Core Memory, partition caps, α).
+	// system parameters (OS reservation, Core Memory, partition caps, α) and
+	// carries a calibration profile's per-stage-kind corrections
+	// (optimizer.Params.Scales) into plan choice and pricing.
 	Params *optimizer.Params
-	// CostScales applies a fitted calibration profile's per-stage-kind
-	// corrections (calib.Profile.CostScales) to plan choice and pricing.
-	// The zero value is the identity — the paper constants unchanged. When
-	// both Params and CostScales are set, CostScales wins over
-	// Params.Scales.
-	CostScales optimizer.CostScales
 	// SpillDir overrides the engine's spill directory (tests).
 	SpillDir string
 }
@@ -178,17 +174,12 @@ type FeatureSink interface {
 	Publish(k featurestore.Key, rows []dataflow.Row)
 }
 
-// params returns the effective Table 1(C) parameters, with the spec's
-// calibration scales folded in.
+// params returns the effective Table 1(C) parameters.
 func (s *Spec) params() optimizer.Params {
-	p := optimizer.DefaultParams()
 	if s.Params != nil {
-		p = *s.Params
+		return *s.Params
 	}
-	if !s.CostScales.IsIdentity() {
-		p.Scales = s.CostScales
-	}
-	return p
+	return optimizer.DefaultParams()
 }
 
 // Validate checks the spec before execution.

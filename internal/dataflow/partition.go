@@ -75,9 +75,6 @@ func rowsMemBytes(rows []Row) int64 {
 	return n
 }
 
-// Index returns the partition's position within its table.
-func (p *Partition) Index() int { return p.index }
-
 // NumRows returns the row count without materializing spilled data (it loads
 // a spilled partition's metadata lazily by decoding; callers on hot paths
 // should rely on Rows instead).
@@ -98,13 +95,6 @@ func (p *Partition) MemBytes() int64 {
 		return 0
 	}
 	return p.memBytes
-}
-
-// Format returns the partition's persistence format.
-func (p *Partition) Format() PersistFormat {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.format
 }
 
 // Spilled reports whether the partition currently lives on disk.

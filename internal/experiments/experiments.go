@@ -12,23 +12,18 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/cnn"
 	"repro/internal/memory"
 	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
-// layersFor returns the paper's |L| per CNN (Section 5: conv5–fc8 for
-// AlexNet, fc6–fc8 for VGG16, top 5 for ResNet50).
+// layersFor returns the paper's |L| for the full-scale CNN that model is or
+// stands in for, so the tiny-* models run the evaluation at the paper's
+// depths (Section 5: conv5–fc8 for AlexNet, fc6–fc8 for VGG16, top 5 for
+// ResNet50).
 func layersFor(model string) int {
-	switch {
-	case strings.Contains(model, "alexnet"):
-		return 4
-	case strings.Contains(model, "vgg16"):
-		return 3
-	case strings.Contains(model, "resnet50"):
-		return 5
-	}
-	return 1
+	return cnn.DefaultLayers(strings.TrimPrefix(model, "tiny-"))
 }
 
 // Models are the roster CNNs of the evaluation.

@@ -309,3 +309,35 @@ func TestIndexCodecRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestPutDedupSkipsIdenticalContent is the regression test for the
+// duplicate-work race's second half: two runs that both computed the same
+// feature table must not rewrite (and double-journal) the identical entry.
+// Pre-fix, the second Put replaced the entry and the dedup counter stayed 0.
+func TestPutDedupSkipsIdenticalContent(t *testing.T) {
+	s, err := Open(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	rows := featRows(1, 16, 8)
+	k := testKey(3, Feature)
+	if err := s.Put(k, rows); err != nil {
+		t.Fatalf("first Put: %v", err)
+	}
+	if err := s.Put(k, rows); err != nil {
+		t.Fatalf("identical Put: %v", err)
+	}
+	st := s.Snapshot()
+	if st.Puts != 1 || st.DedupPuts != 1 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 put + 1 dedup over 1 entry", st)
+	}
+
+	// Different content under the same key is a real replace, not a dedup.
+	if err := s.Put(k, featRows(2, 16, 8)); err != nil {
+		t.Fatalf("replacing Put: %v", err)
+	}
+	st = s.Snapshot()
+	if st.Puts != 2 || st.DedupPuts != 1 {
+		t.Errorf("stats after replace = %+v, want 2 puts + 1 dedup", st)
+	}
+}

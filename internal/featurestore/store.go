@@ -57,13 +57,6 @@ type Store struct {
 	hits, misses, puts, evictions int64
 	evictedBytes                  int64
 	dedupPuts                     int64
-
-	// flightMu guards the in-flight fill registry (GetOrFill); it is
-	// separate from mu so sharers blocked on a fill never serialize plain
-	// Get/Put traffic.
-	flightMu  sync.Mutex
-	flights   map[string]*flight
-	coalesced int64
 }
 
 type storeEntry struct {
@@ -77,15 +70,6 @@ type storeEntry struct {
 	// never dedup candidates).
 	sum    [32]byte
 	hasSum bool
-}
-
-// flight is one in-progress fill: the first misser computes, sharers wait on
-// done and take deep copies of the result.
-type flight struct {
-	done    chan struct{}
-	rows    []dataflow.Row
-	err     error
-	waiters int // sharers parked on done; guarded by Store.flightMu
 }
 
 const (
@@ -107,9 +91,6 @@ type Stats struct {
 	// already stored under the key; the write was skipped (recency still
 	// refreshed).
 	DedupPuts int64 `json:"dedup_puts"`
-	// Coalesced counts GetOrFill callers served by another caller's
-	// in-flight fill instead of running the fill themselves.
-	Coalesced int64 `json:"coalesced"`
 }
 
 // Open loads (or creates) a store rooted at dir with the given byte budget
@@ -292,58 +273,6 @@ func (s *Store) Put(k Key, rows []dataflow.Row) error {
 	return nil
 }
 
-// GetOrFill returns the rows under k, computing them at most once across
-// concurrent callers: a hit reads the store; on a miss the first caller runs
-// fill and Puts the result, while every concurrent caller for the same key
-// blocks on that flight and receives a deep copy — singleflight-style
-// coalescing that closes the duplicate-work race where two runs miss on the
-// same key and both pay the DL session. filled reports whether this caller
-// ran fill itself (false for store hits and coalesced waiters).
-func (s *Store) GetOrFill(k Key, fill func() ([]dataflow.Row, error)) (rows []dataflow.Row, filled bool, err error) {
-	id := k.id()
-	if rows, ok, err := s.Get(k); err != nil {
-		return nil, false, err
-	} else if ok {
-		return rows, false, nil
-	}
-	s.flightMu.Lock()
-	if f, ok := s.flights[id]; ok {
-		f.waiters++
-		s.flightMu.Unlock()
-		<-f.done
-		if f.err != nil {
-			return nil, false, f.err
-		}
-		s.flightMu.Lock()
-		s.coalesced++
-		s.flightMu.Unlock()
-		out := make([]dataflow.Row, len(f.rows))
-		for i := range f.rows {
-			out[i] = f.rows[i].Clone()
-		}
-		return out, false, nil
-	}
-	if s.flights == nil {
-		s.flights = make(map[string]*flight)
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[id] = f
-	s.flightMu.Unlock()
-
-	result, err := fill()
-	if err == nil {
-		// Best-effort durability: a failed Put (budget skip, disk fault)
-		// still serves the flight's sharers from memory.
-		s.Put(k, result)
-	}
-	f.rows, f.err = result, err
-	close(f.done)
-	s.flightMu.Lock()
-	delete(s.flights, id)
-	s.flightMu.Unlock()
-	return result, err == nil, err
-}
-
 // Contains reports whether k is cached, without touching recency or the
 // hit/miss counters (used for planning probes, not reads).
 func (s *Store) Contains(k Key) bool {
@@ -371,9 +300,6 @@ func (s *Store) CachedLayers(model, weightsSum, dataSum string, layers []int) in
 
 // Snapshot returns current counters.
 func (s *Store) Snapshot() Stats {
-	s.flightMu.Lock()
-	coalesced := s.coalesced
-	s.flightMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
@@ -386,7 +312,6 @@ func (s *Store) Snapshot() Stats {
 		Evictions:    s.evictions,
 		EvictedBytes: s.evictedBytes,
 		DedupPuts:    s.dedupPuts,
-		Coalesced:    coalesced,
 	}
 }
 

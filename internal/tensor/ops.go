@@ -35,23 +35,19 @@ func (c Conv2DSpec) WeightCount() int {
 
 // Conv2D computes a 2-D convolution of the CHW input with the given filter
 // weights (layout [out][in][kh][kw], row-major) and per-output-channel
-// biases, returning a new CHW tensor. By default it runs the im2col +
-// blocked-GEMM kernel (gemm.go); SetUseDirect(true) routes it through the
-// direct-loop reference kernel instead.
+// biases, returning a new CHW tensor. It runs the im2col + blocked-GEMM
+// kernel (gemm.go).
 func Conv2D(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
 	outShape, err := conv2DCheck(in, spec, weights, bias)
 	if err != nil {
 		return nil, err
 	}
-	if useDirect.Load() {
-		return conv2DDirect(in, spec, weights, bias, outShape), nil
-	}
 	return conv2DGEMM(in, spec, weights, bias, outShape)
 }
 
 // Conv2DDirect computes the convolution with the direct (non-GEMM) reference
-// kernel regardless of the UseDirect setting. The parity test suite asserts
-// Conv2D against it across the geometry grid.
+// kernel. It is the test oracle: the parity suite asserts Conv2D against it
+// across the geometry grid.
 func Conv2DDirect(in *Tensor, spec Conv2DSpec, weights, bias []float32) (*Tensor, error) {
 	outShape, err := conv2DCheck(in, spec, weights, bias)
 	if err != nil {

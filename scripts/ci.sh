@@ -20,6 +20,11 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== perfbench vet + test =="
+# perfbench is a nested module that compiles against internal/* but is not
+# part of ./..., so an internal API change would otherwise break it unseen.
+(cd perfbench && go vet . && go test -count=1 .)
+
 echo "== package docs =="
 go run ./scripts/pkgdoc
 
@@ -47,8 +52,8 @@ go test -race -count=1 ./internal/faultinject/... ./internal/calib ./internal/da
 echo "== go test -cpu 1,2,4 -count 3 (scheduler interleavings) =="
 # Tier-1 must pass at any GOMAXPROCS, including a 2-core host. Repeating the
 # concurrency-heavy packages under several -cpu values shakes out tests and
-# code that only pass under one goroutine schedule (a test releasing a flight
-# before its waiters joined, a refit published before it was persisted).
+# code that only pass under one goroutine schedule (a test that assumes which
+# goroutine runs first, a refit published before it was persisted).
 # -p 1 runs one package at a time: the phase varies GOMAXPROCS, and the
 # closed-loop calibration test converges on real measured stage times, which
 # another package's CPU load would skew.
