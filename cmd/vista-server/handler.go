@@ -48,7 +48,8 @@ type workloadRequest struct {
 	Plan string `json:"plan"`
 	// Rows bounds the generated dataset for /run (default 500, max 20000).
 	Rows int `json:"rows"`
-	// Seed drives generation and weights for /run.
+	// Seed drives CNN weight realization for /run; the dataset depends only
+	// on Dataset and Rows.
 	Seed int64 `json:"seed"`
 }
 
@@ -104,7 +105,8 @@ func toDecisionJSON(d optimizer.Decision) decisionJSON {
 // repeated /run and /simulate requests on the same dataset+CNN reuse
 // features across HTTP calls), the metrics registry behind GET /metrics,
 // the admission controller gating concurrent /run execution, the retained
-// run artifacts, and the content addresses of past runs.
+// run artifacts, recently synthesized datasets, and the content addresses
+// of past runs.
 type api struct {
 	store   *featurestore.Store // nil = caching disabled
 	metrics *obs.Registry
@@ -140,17 +142,48 @@ type api struct {
 	calibInferScale float64
 	// paths are the instrumented endpoints, for the SLO sweep.
 	paths []string
+	// datasets memoizes /run inputs, so repeated (dataset, rows) requests
+	// skip synthesis and the image-content hash.
+	datasets *datasetMemo
 
 	mu sync.Mutex
-	// runKeys remembers each served workload's feature-store content
-	// address, so /simulate can probe the store for workloads /run has
-	// materialized.
-	runKeys map[string]runKey
+	// runKeys remembers the feature-store content address of the most
+	// recent workloads /run has served, so /simulate can probe the store
+	// for workloads /run has materialized.
+	runKeys *runKeyIndex
 }
 
 // runKey is the store's content-address pair for one workload.
 type runKey struct {
 	weightsSum, dataSum string
+}
+
+// maxRunKeys bounds api.runKeys: every distinct (model, dataset, rows, seed)
+// a /run serves adds an entry, so unbounded cold traffic would grow it
+// forever.
+const maxRunKeys = 1024
+
+// runKeyIndex maps workload keys to content addresses, holding at most limit
+// entries and evicting the oldest-inserted first.
+type runKeyIndex struct {
+	limit int
+	keys  map[string]runKey
+	order []string // insertion order, oldest first
+}
+
+func newRunKeyIndex(limit int) *runKeyIndex {
+	return &runKeyIndex{limit: limit, keys: make(map[string]runKey)}
+}
+
+func (x *runKeyIndex) put(key string, rk runKey) {
+	if _, ok := x.keys[key]; !ok {
+		if len(x.order) == x.limit {
+			delete(x.keys, x.order[0])
+			x.order = x.order[1:]
+		}
+		x.order = append(x.order, key)
+	}
+	x.keys[key] = rk
 }
 
 // workloadKey identifies a workload for cross-request cache probing.
@@ -241,7 +274,8 @@ func newAPI(cfg serverConfig) *api {
 		maxDrift:        cfg.maxDrift,
 		calibInferScale: cfg.calibInferScale,
 		runs:            newRunRing(cfg.runHistory),
-		runKeys:         make(map[string]runKey),
+		datasets:        newDatasetMemo(datasetBudgetBytes),
+		runKeys:         newRunKeyIndex(maxRunKeys),
 		calib:           cfg.calib,
 		logger:          cfg.logger,
 	}
@@ -349,7 +383,7 @@ func (a *api) cachedLayersFor(req *workloadRequest, p *plan.Plan) int {
 		return 0
 	}
 	a.mu.Lock()
-	rk, ok := a.runKeys[workloadKey(req)]
+	rk, ok := a.runKeys.keys[workloadKey(req)]
 	a.mu.Unlock()
 	if !ok {
 		return 0
@@ -562,7 +596,7 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown dataset %q", req.Dataset))
 		return
 	}
-	structRows, imageRows, err := data.Generate(dataSpec.WithRows(req.Rows))
+	ds, err := a.datasets.get(dataSpec.WithRows(req.Rows))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -573,7 +607,8 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 		SystemKind: memory.SparkLike,
 		ModelName:  req.Model, NumLayers: req.Layers,
 		Downstream: core.DefaultDownstream(),
-		StructRows: structRows, ImageRows: imageRows,
+		StructRows: ds.structRows, ImageRows: ds.imageRows,
+		DataSum:      ds.sum,
 		Seed:         req.Seed,
 		FeatureStore: a.store,
 		Metrics:      a.metrics,
@@ -691,9 +726,9 @@ func (a *api) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	a.mu.Lock()
 	if res.Cache.Enabled {
-		a.runKeys[workloadKey(req)] = runKey{
+		a.runKeys.put(workloadKey(req), runKey{
 			weightsSum: res.Cache.WeightsSum, dataSum: res.Cache.DataSum,
-		}
+		})
 	}
 	a.mu.Unlock()
 	a.runs.complete(seq, res.Trace, res.Series)

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/tensor"
 )
 
 // This file serializes realized CNN weights — the artifact Vista's driver
@@ -112,18 +114,11 @@ func encodeWeights(w *Weights) []byte {
 
 // SerializeWeights encodes realized weights into a compressed checkpoint.
 func SerializeWeights(w *Weights) ([]byte, error) {
-	var out bytes.Buffer
-	fw, err := flate.NewWriter(&out, flate.BestSpeed)
+	blob, err := tensor.Deflate(encodeWeights(w))
 	if err != nil {
 		return nil, fmt.Errorf("cnn: serialize: %w", err)
 	}
-	if _, err := fw.Write(encodeWeights(w)); err != nil {
-		return nil, fmt.Errorf("cnn: serialize: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return nil, fmt.Errorf("cnn: serialize: %w", err)
-	}
-	return out.Bytes(), nil
+	return blob, nil
 }
 
 // WeightsChecksum fingerprints realized weights as the hex SHA-256 of the

@@ -68,7 +68,7 @@ func loadRunCache(spec *Spec, model *cnn.Model, p *plan.Plan) *runCache {
 		sink:       spec.FeatureSink,
 		model:      model.Name,
 		weightsSum: cnn.WeightsChecksum(w),
-		dataSum:    featurestore.DataChecksum(spec.ImageRows),
+		dataSum:    spec.dataSum(),
 		steps:      make([]*stepCache, len(p.Steps)),
 	}
 	for si, step := range p.Steps {

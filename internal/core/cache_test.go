@@ -104,3 +104,51 @@ func TestRunFeatureStoreKeyedByWeights(t *testing.T) {
 		t.Fatalf("cache hit across different weights: %+v", res.Cache)
 	}
 }
+
+// TestSpecDataSumIsTheContentAddress asserts Spec.DataSum replaces the
+// image-table hash wherever the run needs it: empty computes
+// featurestore.DataChecksum, and a supplied value becomes the feature-store
+// address and the sharing identity verbatim.
+func TestSpecDataSumIsTheContentAddress(t *testing.T) {
+	store, err := featurestore.Open(t.TempDir(), memory.MB(256))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	spec := tinySpec(t, 40)
+	spec.NumLayers = 1
+	spec.FeatureStore = store
+	want := featurestore.DataChecksum(spec.ImageRows)
+	cold, err := Run(spec)
+	if err != nil {
+		t.Fatalf("cold Run: %v", err)
+	}
+	if cold.Cache.DataSum != want {
+		t.Fatalf("computed data_sum %q, want %q", cold.Cache.DataSum, want)
+	}
+
+	spec.DataSum = want
+	if fp, ok := ShareFingerprint(spec); !ok || fp.DataSum != want {
+		t.Fatalf("fingerprint with supplied sum: %+v ok=%v", fp, ok)
+	}
+	warm, err := Run(spec)
+	if err != nil {
+		t.Fatalf("warm Run: %v", err)
+	}
+	if warm.Cache.StagesFromCache != len(warm.Plan.Steps) {
+		t.Fatalf("supplied checksum missed the cold run's entries: %+v", warm.Cache)
+	}
+
+	// A supplied sum is trusted, not recomputed: a different one addresses
+	// different (absent) entries.
+	spec.DataSum = strings.Repeat("0", len(want))
+	if fp, _ := ShareFingerprint(spec); fp.DataSum != spec.DataSum {
+		t.Fatalf("fingerprint recomputed the sum: %q", fp.DataSum)
+	}
+	other, err := Run(spec)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if other.Cache.DataSum != spec.DataSum || other.Cache.StagesFromCache != 0 {
+		t.Fatalf("supplied data_sum ignored: %+v", other.Cache)
+	}
+}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/cnn"
-	"repro/internal/featurestore"
 	"repro/internal/plan"
 )
 
@@ -58,7 +57,7 @@ func ShareFingerprint(spec Spec) (fp Fingerprint, ok bool) {
 	return Fingerprint{
 		Model:          model.Name,
 		WeightsSum:     cnn.WeightsChecksum(w),
-		DataSum:        featurestore.DataChecksum(spec.ImageRows),
+		DataSum:        spec.dataSum(),
 		NumLayers:      spec.NumLayers,
 		InferenceFLOPs: compiled.TotalInferenceFLOPs() * int64(len(spec.ImageRows)),
 	}, true

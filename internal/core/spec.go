@@ -99,6 +99,11 @@ type Spec struct {
 	// — Group 4: data and statistics —
 	StructRows []dataflow.Row
 	ImageRows  []dataflow.Row
+	// DataSum must equal featurestore.DataChecksum(ImageRows); empty =
+	// computed. A caller that already holds the image table's checksum
+	// (vista-server's dataset memo) sets it so the run's feature-store and
+	// sharing identity skip re-hashing every image.
+	DataSum string
 
 	// Seed drives CNN weight realization.
 	Seed int64
@@ -172,6 +177,15 @@ type FeatureSource interface {
 // ownership of rows; the executor never mutates them afterwards.
 type FeatureSink interface {
 	Publish(k featurestore.Key, rows []dataflow.Row)
+}
+
+// dataSum returns the image table's content checksum: DataSum when the
+// caller supplied it, else computed.
+func (s *Spec) dataSum() string {
+	if s.DataSum != "" {
+		return s.DataSum
+	}
+	return featurestore.DataChecksum(s.ImageRows)
 }
 
 // params returns the effective Table 1(C) parameters.

@@ -274,18 +274,11 @@ func EncodeRows(rows []Row) ([]byte, error) {
 	for i := range rows {
 		raw = EncodeRow(raw, &rows[i])
 	}
-	var out bytes.Buffer
-	w, err := flate.NewWriter(&out, flate.BestSpeed)
+	blob, err := tensor.Deflate(raw)
 	if err != nil {
 		return nil, fmt.Errorf("dataflow: %w", err)
 	}
-	if _, err := w.Write(raw); err != nil {
-		return nil, fmt.Errorf("dataflow: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("dataflow: %w", err)
-	}
-	return out.Bytes(), nil
+	return blob, nil
 }
 
 // DecodeRows decodes a blob produced by EncodeRows.

@@ -1,6 +1,9 @@
 package dataflow
 
 import (
+	"bytes"
+	"compress/flate"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -181,5 +184,43 @@ func TestEncodeRowsCompresses(t *testing.T) {
 	raw := int64(50 * 1000 * 4)
 	if int64(len(blob)) > raw/5 {
 		t.Errorf("compressed %d bytes for %d raw; expected at least 5x compression of zeros", len(blob), raw)
+	}
+}
+
+// TestEncodeRowsMatchesFreshWriter checks that EncodeRows' pooled
+// compressor, reused dirty across blobs of varying size, emits exactly what
+// a freshly built BestSpeed writer emits for the same raw row stream.
+func TestEncodeRowsMatchesFreshWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20; i++ {
+		rows := make([]Row, 1+rng.Intn(40))
+		for j := range rows {
+			s := make([]float32, rng.Intn(16))
+			for k := range s {
+				s[k] = rng.Float32()
+			}
+			img := make([]byte, rng.Intn(512))
+			rng.Read(img)
+			rows[j] = Row{ID: int64(j), Label: float32(j % 2), Structured: s, Image: img}
+		}
+		blob, err := EncodeRows(rows)
+		if err != nil {
+			t.Fatalf("EncodeRows: %v", err)
+		}
+		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(blob)))
+		if err != nil {
+			t.Fatalf("inflate: %v", err)
+		}
+		var want bytes.Buffer
+		w, err := flate.NewWriter(&want, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(raw)
+		w.Close()
+		if !bytes.Equal(blob, want.Bytes()) {
+			t.Fatalf("batch %d: pooled blob (%d bytes) differs from a fresh writer's (%d bytes)",
+				i, len(blob), want.Len())
+		}
 	}
 }

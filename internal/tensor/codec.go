@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // ErrCorrupt indicates a malformed encoded tensor.
@@ -32,16 +33,36 @@ func Encode(t *Tensor) ([]byte, error) {
 	for _, v := range t.Data() {
 		put(math.Float32bits(v))
 	}
-	var out bytes.Buffer
-	w, err := flate.NewWriter(&out, flate.BestSpeed)
+	blob, err := Deflate(raw)
 	if err != nil {
 		return nil, fmt.Errorf("tensor: encode: %w", err)
 	}
+	return blob, nil
+}
+
+// deflaters pools flate.BestSpeed compressors: a fresh flate.Writer
+// allocates over a megabyte of match tables and window, which would
+// otherwise dominate encoding a single image.
+var deflaters = sync.Pool{New: func() any {
+	w, _ := flate.NewWriter(nil, flate.BestSpeed) // a valid level cannot fail
+	return w
+}}
+
+// Deflate compresses raw at flate.BestSpeed with a pooled compressor. The
+// output is byte-identical to a fresh flate.NewWriter's, because flate
+// documents Reset as equivalent to NewWriter. It is the one compressor of
+// every blob format in the repository: tensors here, row blobs
+// (dataflow.EncodeRows) and weight checkpoints (cnn.SerializeWeights).
+func Deflate(raw []byte) ([]byte, error) {
+	w := deflaters.Get().(*flate.Writer)
+	defer deflaters.Put(w)
+	var out bytes.Buffer
+	w.Reset(&out)
 	if _, err := w.Write(raw); err != nil {
-		return nil, fmt.Errorf("tensor: encode: %w", err)
+		return nil, err
 	}
 	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("tensor: encode: %w", err)
+		return nil, err
 	}
 	return out.Bytes(), nil
 }

@@ -1,6 +1,9 @@
 package tensor
 
 import (
+	"bytes"
+	"compress/flate"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -85,5 +88,54 @@ func TestTensorCodecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// freshDeflate compresses raw with a newly built BestSpeed writer: the
+// reference the pooled Deflate must reproduce byte for byte.
+func freshDeflate(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	w, err := flate.NewWriter(&out, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// TestPooledDeflateMatchesFreshWriter encodes random tensors of varying
+// shape back to back, so pooled compressors are reused dirty, and checks
+// every blob against a fresh writer's compression of the same raw stream.
+func TestPooledDeflateMatchesFreshWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 40; i++ {
+		in := New(1+rng.Intn(3), 1+rng.Intn(70), 1+rng.Intn(70))
+		d := in.Data()
+		smooth := i%2 == 0 // alternate compressible and noisy payloads
+		for j := range d {
+			if smooth {
+				d[j] = float32(j%17) / 17
+			} else {
+				d[j] = rng.Float32()
+			}
+		}
+		blob, err := Encode(in)
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(blob)))
+		if err != nil {
+			t.Fatalf("inflate: %v", err)
+		}
+		if want := freshDeflate(t, raw); !bytes.Equal(blob, want) {
+			t.Fatalf("tensor %d %v: pooled blob (%d bytes) differs from a fresh writer's (%d bytes)",
+				i, in.Shape(), len(blob), len(want))
+		}
 	}
 }

@@ -27,7 +27,7 @@ if [[ "$(basename "$out")" =~ ^BENCH_[0-9]+\.json$ && -e "$out" && "${BENCH_FORC
     echo "refusing to overwrite existing snapshot $out (set BENCH_FORCE=1 to override)" >&2
     exit 2
 fi
-pkgs=(. ./internal/dataflow ./internal/ml ./internal/cnn ./internal/tensor)
+pkgs=(. ./internal/dataflow ./internal/ml ./internal/cnn ./internal/tensor ./internal/data ./internal/featurestore)
 
 args=(-run '^$' -bench . -benchmem)
 if [[ "${BENCH_SHORT:-0}" == "1" ]]; then

@@ -131,7 +131,9 @@ echo "== vista-load smoke (compressed overload replay) =="
 # Boot a single-slot server (the 60000 MiB budget fits exactly one priced
 # tiny-alexnet/foods run — modeled memory, nothing near that is allocated)
 # and replay a two-wave overload profile compressed 60x: ~30s of wall clock
-# covering a calm baseline, a moderate flood, and a saturating flood.
+# covering a calm baseline, a moderate flood, and a saturating flood. Each
+# request carries 320 rows so one run takes long enough (~0.8s on a 2-core
+# host) that six queued runs outlast the 3s queue timeout and 429s occur.
 # vista-load exits nonzero unless every offered request is classified
 # exactly once as 200/429/503, nothing timed out or failed at the transport
 # layer, every 429 carried Retry-After, the server's admission counters
@@ -142,7 +144,7 @@ start_server load -feature-cache-mb 0 -mem-budget 60000 -queue-depth 6 -queue-ti
 "$tmp/vista-load" -url "${server_url[load]}" \
     -profile 'const(1) + flood(4m,3m,25) + flood(16m,8m,45)' \
     -duration 30m -time-scale 60 -tick 2m \
-    -min-retry-distinct 2 -max-inflight 1024 \
+    -min-retry-distinct 2 -max-inflight 1024 -rows 320 \
     -timeline "$tmp/timeline.csv" | tee "$tmp/load.txt"
 # The herd gate only binds when the run actually throttled; make sure the
 # profile produced real signal on this machine rather than passing vacuously.
