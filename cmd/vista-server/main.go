@@ -151,7 +151,7 @@ func main() {
 		os.Exit(2)
 	}
 	tensor.SetConvWorkers(*convWorkers)
-	logger.Info("conv kernels configured", "workers", tensor.ConvWorkers())
+	logger.Info("conv kernels configured", "workers", tensor.ConvWorkers(), "gemm", tensor.GEMMKernel())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

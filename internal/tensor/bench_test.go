@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -37,6 +38,43 @@ func BenchmarkConv2D1x1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Conv2D(in, spec, w, bias); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSgemm times both 4-row tile kernels on the GEMM shapes (m×n×k =
+// out channels × output pixels × in channels·K·K) of tiny-model convolutions,
+// from a wide early layer down to tiny-resnet50's conv5 at n = 4, and reports
+// GFLOP/s (2·m·n·k per call).
+func BenchmarkSgemm(b *testing.B) {
+	for _, s := range []struct{ m, n, k int }{
+		{8, 4096, 27}, {8, 4096, 72}, {16, 1024, 147}, {32, 64, 432},
+		{32, 16, 288}, {128, 4, 32}, {32, 4, 288},
+	} {
+		rng := rand.New(rand.NewSource(1))
+		a := make([]float32, s.m*s.k)
+		bm := make([]float32, s.k*s.n)
+		for i := range a {
+			a[i] = rng.Float32()
+		}
+		for i := range bm {
+			bm[i] = rng.Float32()
+		}
+		bias := make([]float32, s.m)
+		c := make([]float32, s.m*s.n)
+		for _, kern := range []struct {
+			name string
+			avx  bool
+		}{{"simd", true}, {"go", false}} {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.n, s.k, kern.name), func(b *testing.B) {
+				if kern.avx && !haveAVX {
+					b.Skip("CPU has no AVX")
+				}
+				for i := 0; i < b.N; i++ {
+					sgemm(kern.avx, s.m, s.n, s.k, a, bm, bias, c)
+				}
+				b.ReportMetric(2*float64(s.m*s.n*s.k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
 		}
 	}
 }

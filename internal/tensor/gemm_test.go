@@ -274,3 +274,75 @@ func BenchmarkConv2DDirect3x3(b *testing.B) {
 		}
 	}
 }
+
+// specialFloats are the IEEE edge cases the kernels must propagate exactly
+// alike: signed zeros, infinities, quiet and signaling NaNs with distinct
+// payloads and signs (x86 picks between two NaN operands by position, so
+// operand order matters), subnormals, and magnitudes whose products
+// overflow or underflow.
+var specialFloats = []float32{
+	float32(math.Copysign(0, -1)), 0,
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00123),
+	math.Float32frombits(0x7f800001), math.Float32frombits(0x7fa00042),
+	math.Float32frombits(0x00000001), math.Float32frombits(0x807fffff),
+	math.Float32frombits(0x00400000), math.SmallestNonzeroFloat32,
+	3e38, -3e38, 1e-30, -1e-30,
+}
+
+// fillSpecial fills s with normal values, replacing about one element in
+// every spread with a random special value, so most outputs stay finite
+// while every edge case reaches some of them.
+func fillSpecial(rng *rand.Rand, s []float32, spread int) {
+	for i := range s {
+		if rng.Intn(spread) == 0 {
+			s[i] = specialFloats[rng.Intn(len(specialFloats))]
+		} else {
+			s[i] = float32(rng.NormFloat64())
+		}
+	}
+}
+
+// TestSgemmAVXBitIdentical asserts the AVX microkernel and the portable Go
+// kernels produce the same bits (math.Float32bits, NaN payloads included)
+// over every row remainder, every column width up to 40 plus a wide one,
+// and reduction depths that straddle the kcBlock boundary.
+func TestSgemmAVXBitIdentical(t *testing.T) {
+	if !haveAVX {
+		t.Skip("CPU has no AVX: only the portable kernel runs here")
+	}
+	rng := rand.New(rand.NewSource(23))
+	ns := make([]int, 0, 41)
+	for n := 1; n <= 40; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 4096)
+	for _, m := range []int{4, 5, 6, 7, 8} {
+		for _, n := range ns {
+			for _, k := range []int{0, 1, kcBlock - 1, kcBlock + 1, 3*kcBlock + 7} {
+				a := make([]float32, m*k)
+				b := make([]float32, k*n)
+				bias := make([]float32, m)
+				// Specials get rarer as k grows, or one NaN per A row would
+				// turn the whole output into NaN and hide rounding bugs.
+				spread := 4 * (k + 1)
+				fillSpecial(rng, a, spread)
+				fillSpecial(rng, b, spread)
+				fillSpecial(rng, bias, 4)
+				simd := make([]float32, m*n)
+				portable := make([]float32, m*n)
+				for i := range simd {
+					simd[i], portable[i] = 1, 2 // the kernels must overwrite C
+				}
+				sgemm(true, m, n, k, a, b, bias, simd)
+				sgemm(false, m, n, k, a, b, bias, portable)
+				for i := range simd {
+					if g, w := math.Float32bits(simd[i]), math.Float32bits(portable[i]); g != w {
+						t.Fatalf("m=%d n=%d k=%d: C[%d][%d] avx %#08x (%g), go %#08x (%g)",
+							m, n, k, i/n, i%n, g, simd[i], w, portable[i])
+					}
+				}
+			}
+		}
+	}
+}

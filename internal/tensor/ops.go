@@ -136,9 +136,94 @@ func (p PoolSpec) OutShape(in Shape) (Shape, error) {
 	return Shape{in[0], h, w}, nil
 }
 
-// MaxPool2D applies max pooling to the CHW input.
+// MaxPool2D applies max pooling to the CHW input. Output cells whose window
+// lies wholly inside the input (every cell of an unpadded pool, the interior
+// of a padded one) skip the per-cell bounds tests; the border goes through
+// poolWindow. Both visit a window row-major from −Inf keeping v > acc, so the
+// result is bit-identical to the generic pool2D, NaN and −0 included.
 func MaxPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
-	return pool2D(in, spec, true)
+	outShape, err := spec.OutShape(in.Shape())
+	if err != nil {
+		return nil, err
+	}
+	c, inH, inW := in.Shape()[0], in.Shape()[1], in.Shape()[2]
+	outH, outW := outShape[1], outShape[2]
+	k, stride, pad := spec.Kernel, spec.Stride, spec.Pad
+	oyLo, oyHi := poolInterior(inH, outH, spec)
+	oxLo, oxHi := poolInterior(inW, outW, spec)
+	out := newUninit(outShape...)
+	src, dst := in.Data(), out.Data()
+	for ch := 0; ch < c; ch++ {
+		plane := src[ch*inH*inW : (ch+1)*inH*inW]
+		for oy := 0; oy < outH; oy++ {
+			row := dst[(ch*outH+oy)*outW : (ch*outH+oy+1)*outW]
+			iy0 := oy*stride - pad
+			lo, hi := oxLo, oxHi
+			if oy < oyLo || oy >= oyHi {
+				lo, hi = outW, outW
+			}
+			for ox := range row[:lo] {
+				row[ox] = poolWindow(plane, inH, inW, iy0, ox*stride-pad, k, true)
+			}
+			if lo < hi {
+				maxPoolInterior(row[lo:hi], plane[iy0*inW:], inW, lo*stride-pad, stride, k)
+			}
+			for ox := hi; ox < outW; ox++ {
+				row[ox] = poolWindow(plane, inH, inW, iy0, ox*stride-pad, k, true)
+			}
+		}
+	}
+	return out, nil
+}
+
+// maxPoolInterior fills dst[i] with the maximum of the k×k window whose top
+// row is rows[:inW] and whose left column is ix0+i·stride; every window lies
+// inside rows. Cells are visited row-major from −Inf, as in poolWindow.
+func maxPoolInterior(dst, rows []float32, inW, ix0, stride, k int) {
+	if k == 2 {
+		// The 2×2 windows of the AlexNet/VGG pools, unrolled.
+		r0, r1 := rows[:inW], rows[inW:2*inW]
+		for i := range dst {
+			x := ix0 + i*stride
+			acc := maxStep(float32(math.Inf(-1)), r0[x])
+			acc = maxStep(acc, r0[x+1])
+			acc = maxStep(acc, r1[x])
+			dst[i] = maxStep(acc, r1[x+1])
+		}
+		return
+	}
+	for i := range dst {
+		x := ix0 + i*stride
+		acc := float32(math.Inf(-1))
+		for ky := 0; ky < k; ky++ {
+			for _, v := range rows[ky*inW+x : ky*inW+x+k] {
+				acc = maxStep(acc, v)
+			}
+		}
+		dst[i] = acc
+	}
+}
+
+// maxStep is the max-pool update "if v > acc { acc = v }" written as a
+// select on the bit patterns, which the compiler lowers to a conditional move:
+// the comparison on real activations is a coin flip the branch predictor
+// keeps losing.
+func maxStep(acc, v float32) float32 {
+	bits := math.Float32bits(acc)
+	if v > acc {
+		bits = math.Float32bits(v)
+	}
+	return math.Float32frombits(bits)
+}
+
+// poolInterior returns the output index range [lo, hi) along one axis of
+// input length n whose windows lie wholly inside the input.
+func poolInterior(n, out int, spec PoolSpec) (lo, hi int) {
+	lo = min((spec.Pad+spec.Stride-1)/spec.Stride, out)
+	if n+spec.Pad >= spec.Kernel {
+		hi = min((n+spec.Pad-spec.Kernel)/spec.Stride+1, out)
+	}
+	return lo, max(hi, lo)
 }
 
 // AvgPool2D applies average pooling to the CHW input. Padding cells count
@@ -148,6 +233,8 @@ func AvgPool2D(in *Tensor, spec PoolSpec) (*Tensor, error) {
 	return pool2D(in, spec, false)
 }
 
+// pool2D is the generic pooling loop: every output cell through poolWindow.
+// MaxPool2D must match it bit for bit.
 func pool2D(in *Tensor, spec PoolSpec, max bool) (*Tensor, error) {
 	outShape, err := spec.OutShape(in.Shape())
 	if err != nil {
@@ -160,47 +247,56 @@ func pool2D(in *Tensor, spec PoolSpec, max bool) (*Tensor, error) {
 	dst := out.Data()
 
 	for ch := 0; ch < c; ch++ {
-		sBase := ch * inH * inW
+		plane := src[ch*inH*inW : (ch+1)*inH*inW]
 		for oy := 0; oy < outH; oy++ {
 			iy0 := oy*spec.Stride - spec.Pad
 			for ox := 0; ox < outW; ox++ {
 				ix0 := ox*spec.Stride - spec.Pad
-				var acc float32
-				if max {
-					acc = float32(math.Inf(-1))
-				}
-				n := 0
-				for ky := 0; ky < spec.Kernel; ky++ {
-					iy := iy0 + ky
-					if iy < 0 || iy >= inH {
-						continue
-					}
-					for kx := 0; kx < spec.Kernel; kx++ {
-						ix := ix0 + kx
-						if ix < 0 || ix >= inW {
-							continue
-						}
-						v := src[sBase+iy*inW+ix]
-						if max {
-							if v > acc {
-								acc = v
-							}
-						} else {
-							acc += v
-						}
-						n++
-					}
-				}
-				if n == 0 {
-					acc = 0
-				} else if !max {
-					acc /= float32(n)
-				}
-				dst[(ch*outH+oy)*outW+ox] = acc
+				dst[(ch*outH+oy)*outW+ox] = poolWindow(plane, inH, inW, iy0, ix0, spec.Kernel, max)
 			}
 		}
 	}
 	return out, nil
+}
+
+// poolWindow reduces the k×k window with top-left corner (iy0, ix0) of one
+// inH×inW plane, skipping cells outside the input: the maximum from −Inf
+// (row-major, v > acc), or the mean of the valid cells. A window with no
+// valid cell yields 0.
+func poolWindow(plane []float32, inH, inW, iy0, ix0, k int, max bool) float32 {
+	var acc float32
+	if max {
+		acc = float32(math.Inf(-1))
+	}
+	n := 0
+	for ky := 0; ky < k; ky++ {
+		iy := iy0 + ky
+		if iy < 0 || iy >= inH {
+			continue
+		}
+		for kx := 0; kx < k; kx++ {
+			ix := ix0 + kx
+			if ix < 0 || ix >= inW {
+				continue
+			}
+			v := plane[iy*inW+ix]
+			if max {
+				if v > acc {
+					acc = v
+				}
+			} else {
+				acc += v
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	if !max {
+		acc /= float32(n)
+	}
+	return acc
 }
 
 // gridAxis returns the kernel, stride, and output extent that reduce one

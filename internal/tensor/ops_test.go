@@ -134,6 +134,51 @@ func TestMaxPool2D(t *testing.T) {
 	}
 }
 
+// TestMaxPool2DFastPathBitIdentical asserts MaxPool2D's interior fast path
+// matches the generic pool2D loop bit for bit over kernels, strides and pads
+// (including pads that leave whole windows in the padding), with inputs full
+// of ties between −0 and +0, NaNs and infinities.
+func TestMaxPool2DFastPathBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, k := range []int{1, 2, 3, 4} {
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, hw := range []struct{ h, w int }{{1, 1}, {5, 7}, {8, 8}, {13, 6}} {
+					spec := PoolSpec{Kernel: k, Stride: stride, Pad: pad}
+					if _, err := spec.OutShape(Shape{2, hw.h, hw.w}); err != nil {
+						continue
+					}
+					in := New(2, hw.h, hw.w)
+					for i := range in.Data() {
+						if rng.Intn(3) == 0 {
+							in.Data()[i] = specialFloats[rng.Intn(len(specialFloats))]
+						} else {
+							in.Data()[i] = float32(rng.Intn(5) - 2)
+						}
+					}
+					got, err := MaxPool2D(in, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := pool2D(in, spec, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Shape().Equal(want.Shape()) {
+						t.Fatalf("spec %+v: shape %v, want %v", spec, got.Shape(), want.Shape())
+					}
+					for i, v := range got.Data() {
+						if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+							t.Fatalf("spec %+v input %dx%d: out[%d] = %#08x, want %#08x",
+								spec, hw.h, hw.w, i, math.Float32bits(v), math.Float32bits(want.Data()[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestAvgPool2D(t *testing.T) {
 	in := MustFromSlice([]float32{
 		1, 2,
