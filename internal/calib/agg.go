@@ -2,6 +2,7 @@ package calib
 
 import (
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -37,7 +38,15 @@ type kindAgg struct {
 	// same rate as the drift signal or the residual fit never converges.
 	sumEstMeas float64
 	sumEstSq   float64
+	// logRatios is a ring of the last fitWindow counted samples'
+	// ln(meas/est): sample i (0-based) sits at i % fitWindow. The Fitter's
+	// windowed refit takes its median (see fitSince).
+	logRatios []float64
 }
+
+// fitWindow bounds the samples a windowed refit reads per kind: a window
+// holding more uses its most recent fitWindow samples.
+const fitWindow = 128
 
 // Aggregator folds calibration records into per-kind rolling aggregates.
 // Safe for concurrent use (metrics callbacks read while runs write).
@@ -56,7 +65,10 @@ func NewAggregator(halfLife time.Duration) *Aggregator {
 	}
 	a := &Aggregator{halfLife: halfLife, kinds: make(map[Kind]*kindAgg, len(Kinds))}
 	for _, k := range Kinds {
-		a.kinds[k] = &kindAgg{hist: make([]int64, len(relErrBounds)+1)}
+		a.kinds[k] = &kindAgg{
+			hist:      make([]int64, len(relErrBounds)+1),
+			logRatios: make([]float64, fitWindow),
+		}
 	}
 	return a
 }
@@ -89,8 +101,10 @@ func (a *Aggregator) Add(rec Record) {
 		if rec.At.After(ka.last) {
 			ka.last = rec.At
 		}
+		lr := math.Log(s.Meas / s.Est)
 		ka.sumW++
-		ka.sumWX += math.Log(s.Meas / s.Est)
+		ka.sumWX += lr
+		ka.logRatios[ka.samples%fitWindow] = lr
 		ka.samples++
 		rel := math.Abs(s.Meas/s.Est - 1)
 		idx := len(relErrBounds)
@@ -130,8 +144,9 @@ type StageAggregate struct {
 	// SuggestedScale is the decayed least-squares scale s minimizing
 	// Σ(meas − s·est)² over recent samples. With a profile active the
 	// estimates entering the fit are already profile-corrected, so this is
-	// the *residual* correction a refit would multiply onto the active
-	// factor (see Refit).
+	// the *residual* correction an offline refit would multiply onto the
+	// active factor (see Refit); the live Fitter substitutes a windowed
+	// median fit (see Fitter.RefitNow).
 	SuggestedScale float64 `json:"suggested_scale"`
 	// ActiveScale is the correction the active calibration profile
 	// currently applies to this kind's estimates (1 when no profile is
@@ -210,60 +225,60 @@ func (a *Aggregator) Report() Report {
 	return rep
 }
 
-// lsState is one kind's raw least-squares accumulator, snapshotted at a refit
-// boundary. Because every sum decays by the same multiplicative factor, a
-// snapshot can be decayed forward to a later snapshot's timestamp and
-// subtracted out, leaving exactly the contribution of the samples recorded in
-// between — the windowing fitSince builds on.
-type lsState struct {
-	samples    int64
-	sumEstMeas float64
-	sumEstSq   float64
-	last       time.Time
-}
-
-// fitEvidence is a windowed residual fit: the least-squares scale restricted
-// to samples recorded after a snapshot, plus how many there were. A kind with
-// no usable window reports zero samples and scale 1.
+// fitEvidence is a windowed residual fit: the residual scale over the samples
+// recorded since a baseline, plus how many there were. A kind with no samples
+// in its window reports zero samples and scale 1.
 type fitEvidence struct {
 	samples   int64
 	suggested float64
 }
 
-// fitSince returns, per kind, the residual fit over samples recorded since
-// base (a missing entry means "since the beginning"), and the current
-// snapshots a caller consuming the evidence should store as its next base.
-// The Fitter uses this so each refit acts only on evidence gathered under the
-// factors it is about to revise: refitting from the cumulative fit would
-// re-apply history already absorbed into the profile and compound the
-// correction past its fixed point.
-func (a *Aggregator) fitSince(base map[Kind]lsState) (map[Kind]fitEvidence, map[Kind]lsState) {
+// fitSince returns, per kind k, the residual fit over k's samples after its
+// first base[k] (a missing entry means "since the beginning"), and the
+// current sample counts a caller consuming the evidence should store as its
+// next base. The Fitter uses this so each refit acts only on evidence
+// gathered under the factors it is about to revise: refitting from the
+// cumulative fit would re-apply history already absorbed into the profile and
+// compound the correction past its fixed point.
+//
+// The fit is exp(median ln(meas/est)) over the window's most recent
+// fitWindow samples. It is taken in log space because the convergence band
+// and the -max-drift SLO judge the geometric drift exp(mean ln(meas/est)).
+// It is a median because time samples are shares of wall clock, and a
+// sub-millisecond stage (join) reads 5-20x high whenever a GC cycle overlaps
+// it: a least-squares or mean fit takes one such spike at full weight and
+// sets the next factor several times too high, while the median of three or
+// more samples ignores it.
+func (a *Aggregator) fitSince(base map[Kind]int64) (map[Kind]fitEvidence, map[Kind]int64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	ev := make(map[Kind]fitEvidence, len(a.kinds))
-	snap := make(map[Kind]lsState, len(a.kinds))
+	snap := make(map[Kind]int64, len(a.kinds))
 	for k, ka := range a.kinds {
-		cur := lsState{samples: ka.samples, sumEstMeas: ka.sumEstMeas, sumEstSq: ka.sumEstSq, last: ka.last}
-		snap[k] = cur
-		prev := base[k]
-		em, ee := cur.sumEstMeas, cur.sumEstSq
-		if prev.samples > 0 {
-			d := 1.0
-			if dt := cur.last.Sub(prev.last); dt > 0 {
-				d = math.Pow(0.5, dt.Seconds()/a.halfLife.Seconds())
+		snap[k] = ka.samples
+		e := fitEvidence{samples: ka.samples - base[k], suggested: 1}
+		if e.samples > 0 {
+			n := min(e.samples, fitWindow)
+			window := make([]float64, 0, n)
+			for i := ka.samples - n; i < ka.samples; i++ {
+				window = append(window, ka.logRatios[i%fitWindow])
 			}
-			em -= d * prev.sumEstMeas
-			ee -= d * prev.sumEstSq
-		}
-		e := fitEvidence{samples: cur.samples - prev.samples, suggested: 1}
-		if e.samples > 0 && ee > 0 && em > 0 {
-			e.suggested = em / ee
-		} else {
-			e.samples = 0 // numerically empty window: no evidence
+			e.suggested = math.Exp(median(window))
 		}
 		ev[k] = e
 	}
 	return ev, snap
+}
+
+// median returns the middle of v (the mean of the two middle values for an
+// even length), sorting v in place. v must be non-empty.
+func median(v []float64) float64 {
+	slices.Sort(v)
+	h := len(v) / 2
+	if len(v)%2 == 1 {
+		return v[h]
+	}
+	return (v[h-1] + v[h]) / 2
 }
 
 // driftOf reads one kind's live drift ratio (for the metrics gauge).

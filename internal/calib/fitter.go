@@ -47,8 +47,8 @@ type Fitter struct {
 
 	active atomic.Pointer[Profile]
 
-	mu       sync.Mutex // serializes RefitNow (persist + swap)
-	baseline map[Kind]lsState
+	mu       sync.Mutex     // serializes RefitNow (persist + swap)
+	baseline map[Kind]int64 // per kind, the sample count its window starts after
 	stop     chan struct{}
 	done     chan struct{}
 }
@@ -101,7 +101,8 @@ func (f *Fitter) Refits() int64 { return f.Active().refits() }
 // recorded before a refit carry estimates in the *old* correction basis, and
 // re-fitting them after the factor moved would apply the same residual twice
 // (the cumulative least-squares fit is dominated by the old basis for up to
-// ten half-lives). Each refit therefore consumes its window — a kind's
+// ten half-lives). Each refit therefore fits only its window, by the median
+// log residual that fitSince computes, and consumes it — a kind's
 // baseline advances only when its factor actually moves, so sparse evidence
 // keeps accumulating toward the MinSamples floor, and once traffic stops
 // every subsequent refit is a permanent no-op (the stability the

@@ -140,6 +140,59 @@ func TestFitterWindowPreventsCompounding(t *testing.T) {
 	}
 }
 
+// TestFitterRefitIgnoresOneSpike pins the robust windowed fit: one sample 20x
+// out among calibrated ones is a timing outlier (a GC cycle overlapping a
+// sub-millisecond stage), not drift, and must not move the factor; a
+// least-squares fit of the same window moves it about 7x. Evidence that is
+// consistently off still refits, on the window's median residual.
+func TestFitterRefitIgnoresOneSpike(t *testing.T) {
+	fc := clock.NewFake()
+	f, rec := newTestFitter(t, fc, "")
+	recordInfer(t, rec, 1, 1)
+	recordInfer(t, rec, 1, 20)
+	recordInfer(t, rec, 1, 1)
+	if changed, err := f.RefitNow(); changed || err != nil {
+		t.Fatalf("one spike moved the profile: changed=%v err=%v infer factor %v",
+			changed, err, f.Active().ScaleFor(KindInfer))
+	}
+	// The unconsumed window keeps growing: 1, 20, 1, 3, 3 has median 3.
+	recordInfer(t, rec, 1, 3)
+	recordInfer(t, rec, 1, 3)
+	if changed, err := f.RefitNow(); !changed || err != nil {
+		t.Fatalf("consistent drift ignored: changed=%v err=%v", changed, err)
+	}
+	if got := f.Active().ScaleFor(KindInfer); got != 3 {
+		t.Errorf("infer factor = %v, want the window median 3", got)
+	}
+}
+
+// TestFitterWindowFitsRecentSamples: a window holding more than fitWindow
+// samples fits its most recent fitWindow of them, while the profile still
+// records the whole window as its evidence.
+func TestFitterWindowFitsRecentSamples(t *testing.T) {
+	fc := clock.NewFake()
+	f, rec := newTestFitter(t, fc, "")
+	for i := 0; i < fitWindow; i++ {
+		recordInfer(t, rec, 1, 1)
+	}
+	for i := 0; i < fitWindow; i++ {
+		recordInfer(t, rec, 1, 4)
+	}
+	if changed, err := f.RefitNow(); !changed || err != nil {
+		t.Fatalf("refit: changed=%v err=%v", changed, err)
+	}
+	p := f.Active()
+	// The median of all 2·fitWindow samples would be 2.
+	if got := p.ScaleFor(KindInfer); got != 4 {
+		t.Errorf("infer factor = %v, want 4 from the latest %d samples", got, fitWindow)
+	}
+	for _, sc := range p.Scales {
+		if Kind(sc.Kind) == KindInfer && sc.Samples != 2*fitWindow {
+			t.Errorf("infer evidence = %d samples, want %d", sc.Samples, 2*fitWindow)
+		}
+	}
+}
+
 // TestFitterBootSnapshotIgnoresReplayedLog pins NewFitter's baseline: history
 // replayed from disk was recorded under past processes' profiles, so a fresh
 // fitter must not fit it.

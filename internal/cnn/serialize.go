@@ -2,13 +2,11 @@ package cnn
 
 import (
 	"bytes"
-	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/tensor"
@@ -43,6 +41,18 @@ func encodeLayer(buf *bytes.Buffer, w *LayerWeights) {
 	for _, sub := range w.Sub {
 		encodeLayer(buf, sub)
 	}
+}
+
+// encodedLayerSize is the byte length encodeLayer writes for w.
+func encodedLayerSize(w *LayerWeights) int {
+	n := 4 // sublayer count
+	for _, slot := range weightSlots(w) {
+		n += 4 + 4*len(slot)
+	}
+	for _, sub := range w.Sub {
+		n += encodedLayerSize(sub)
+	}
+	return n
 }
 
 type weightReader struct {
@@ -103,6 +113,11 @@ func (r *weightReader) decodeLayer(depth int) (*LayerWeights, error) {
 // encodeWeights produces the raw (pre-compression) checkpoint stream.
 func encodeWeights(w *Weights) []byte {
 	var raw bytes.Buffer
+	size := 4
+	for _, lw := range w.Layers {
+		size += encodedLayerSize(lw)
+	}
+	raw.Grow(size)
 	var scratch [4]byte
 	binary.LittleEndian.PutUint32(scratch[:], uint32(len(w.Layers)))
 	raw.Write(scratch[:])
@@ -133,14 +148,16 @@ func WeightsChecksum(w *Weights) string {
 // DeserializeWeights reverses SerializeWeights. The layer count must match
 // the model the weights are used with; PartialInfer validates that.
 func DeserializeWeights(blob []byte) (*Weights, error) {
-	fr := flate.NewReader(bytes.NewReader(blob))
-	raw, err := io.ReadAll(fr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptWeights, err)
-	}
-	if err := fr.Close(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorruptWeights, err)
-	}
+	var w *Weights
+	err := tensor.Inflate(blob, ErrCorruptWeights, func(raw []byte) (err error) {
+		w, err = decodeWeights(raw)
+		return err
+	})
+	return w, err
+}
+
+// decodeWeights parses the raw checkpoint stream encodeWeights produces.
+func decodeWeights(raw []byte) (*Weights, error) {
 	r := &weightReader{buf: raw}
 	n, err := r.u32()
 	if err != nil {

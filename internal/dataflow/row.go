@@ -8,12 +8,9 @@
 package dataflow
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/faultinject"
@@ -286,17 +283,19 @@ func DecodeRows(blob []byte) ([]Row, error) {
 	if err := faultinject.Hit(FaultRowDecode); err != nil {
 		return nil, fmt.Errorf("dataflow: decode rows: %w", err)
 	}
-	r := flate.NewReader(bytes.NewReader(blob))
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		// A blob that will not decompress is a corrupt encoding (e.g. a
-		// torn spill file); surface the typed sentinel, not a bare flate
-		// error, so callers can classify the failure.
-		return nil, fmt.Errorf("%w: decompress: %v", ErrCorruptRow, err)
-	}
-	if err := r.Close(); err != nil {
-		return nil, fmt.Errorf("%w: decompress: %v", ErrCorruptRow, err)
-	}
+	// A blob that will not decompress is a corrupt encoding (e.g. a torn
+	// spill file); Inflate surfaces the typed sentinel, not a bare flate
+	// error, so callers can classify the failure.
+	var rows []Row
+	err := tensor.Inflate(blob, ErrCorruptRow, func(raw []byte) (err error) {
+		rows, err = decodeRaw(raw)
+		return err
+	})
+	return rows, err
+}
+
+// decodeRaw parses EncodeRows' decompressed stream.
+func decodeRaw(raw []byte) ([]Row, error) {
 	rr := &rowReader{buf: raw}
 	n, err := rr.u32()
 	if err != nil {

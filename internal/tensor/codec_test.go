@@ -3,8 +3,11 @@ package tensor
 import (
 	"bytes"
 	"compress/flate"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -137,5 +140,60 @@ func TestPooledDeflateMatchesFreshWriter(t *testing.T) {
 			t.Fatalf("tensor %d %v: pooled blob (%d bytes) differs from a fresh writer's (%d bytes)",
 				i, in.Shape(), len(blob), len(want))
 		}
+	}
+}
+
+// TestPooledInflateMatchesFreshReader decodes blobs of varying size back to
+// back and from several goroutines, so pooled decompressors and buffers are
+// reused dirty, and checks every result against a fresh flate reader's. A
+// corrupt blob between good ones must fail with ErrCorrupt and must not
+// poison the next decode.
+func TestPooledInflateMatchesFreshReader(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	blobs := make([][]byte, 24)
+	for i := range blobs {
+		in := New(1+rng.Intn(3), 1+rng.Intn(70), 1+rng.Intn(70))
+		for j := range in.Data() {
+			in.Data()[j] = rng.Float32()
+		}
+		blob, err := Encode(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs[i] = blob
+	}
+	check := func(blob []byte) error {
+		want, err := io.ReadAll(flate.NewReader(bytes.NewReader(blob)))
+		if err != nil {
+			return err
+		}
+		return Inflate(blob, ErrCorrupt, func(raw []byte) error {
+			if !bytes.Equal(raw, want) {
+				return fmt.Errorf("pooled inflate (%d bytes) differs from a fresh reader's (%d bytes)", len(raw), len(want))
+			}
+			return nil
+		})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*len(blobs))
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range blobs {
+				blob := blobs[(i+g*7)%len(blobs)]
+				if err := check(blob); err != nil {
+					errs <- err
+				}
+				if _, err := Decode(blob[:len(blob)/2]); !errors.Is(err, ErrCorrupt) {
+					errs <- fmt.Errorf("truncated blob: err = %v, want ErrCorrupt", err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
